@@ -79,9 +79,10 @@ impl App {
         paper_profile(self.name).expect("every app has a paper profile")
     }
 
-    /// Runs one dataset and returns its profile.
+    /// Runs one dataset on the production tier ([`VmTier::default`]) and
+    /// returns its profile.
     pub fn run_dataset(&self, idx: usize) -> Profile {
-        self.run_dataset_tier(idx, VmTier::Interp)
+        self.run_dataset_tier(idx, VmTier::default())
     }
 
     /// Runs one dataset on the given execution tier. Both tiers produce
@@ -99,9 +100,10 @@ impl App {
         vm.take_profile()
     }
 
-    /// Profiles every dataset (for coverage classification).
+    /// Profiles every dataset on the production tier (for coverage
+    /// classification).
     pub fn profile_all_datasets(&self) -> Vec<Profile> {
-        self.profile_all_datasets_tier(VmTier::Interp)
+        self.profile_all_datasets_tier(VmTier::default())
     }
 
     /// Profiles every dataset on the given execution tier.

@@ -4,10 +4,11 @@
 //!
 //! Usage: `cargo run --release -p jitise-bench --bin table1 [--vm-tier interp|fast]`
 //!
-//! `--vm-tier fast` profiles the applications on the pre-decoded dispatch
-//! tier. The table is bit-identical either way (the tiers agree on every
-//! observable — DESIGN.md §15); the flag exists to demonstrate exactly that
-//! while the wall-clock cost of producing the table drops.
+//! The applications are profiled on the production VM tier, the
+//! pre-decoded fast tier; `--vm-tier interp` profiles them on the
+//! reference interpreter instead. The table is bit-identical either way
+//! (the tiers agree on every observable — DESIGN.md §15); the flag exists
+//! to demonstrate exactly that.
 
 use jitise_apps::Domain;
 use jitise_base::table::{fnum, fpct, TextTable};
@@ -97,17 +98,19 @@ fn push(t: &mut TextTable, r: &Row) {
 fn parse_tier() -> VmTier {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
-    let mut tier = VmTier::Interp;
+    let mut tier = VmTier::default();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--vm-tier" => match it.next().map(String::as_str) {
-                Some("interp") => tier = VmTier::Interp,
-                Some("fast") => tier = VmTier::Fast,
-                other => {
-                    eprintln!("table1: --vm-tier expects `interp` or `fast`, got {other:?}");
-                    std::process::exit(2);
+            "--vm-tier" => {
+                let name = it.next().map(String::as_str);
+                match name.and_then(VmTier::parse) {
+                    Some(t) => tier = t,
+                    None => {
+                        eprintln!("table1: --vm-tier expects `interp` or `fast`, got {name:?}");
+                        std::process::exit(2);
+                    }
                 }
-            },
+            }
             other => {
                 eprintln!("table1: unknown argument {other:?}");
                 std::process::exit(2);

@@ -48,8 +48,9 @@ pub struct EvalContext {
     /// drives (default `None` = no caching).
     pub search_memo: Option<Arc<SearchMemo>>,
     /// Execution tier for every VM run this context drives (default
-    /// [`VmTier::Interp`]). The fast tier is bit-identical in results,
-    /// cycles, steps, and profiles — it changes only host wall-clock.
+    /// [`VmTier::default`], the fast tier). The reference
+    /// [`VmTier::Interp`] is bit-identical in results, cycles, steps, and
+    /// profiles — the tier changes only host wall-clock.
     pub vm_tier: VmTier,
     /// Overlay cell library for two-tier installs (DESIGN.md §17); `None`
     /// (the default) evaluates the full-only pipeline.
@@ -80,7 +81,7 @@ impl EvalContext {
             cad_workers: 1,
             search_workers: 1,
             search_memo: None,
-            vm_tier: VmTier::Interp,
+            vm_tier: VmTier::default(),
             overlay: None,
         }
     }
@@ -179,7 +180,6 @@ pub fn evaluate_app(ctx: &EvalContext, app: &App) -> AppEvaluation {
             },
             telemetry: ctx.telemetry.clone(),
             cad_workers: ctx.cad_workers,
-            vm_tier: ctx.vm_tier,
             overlay: ctx.overlay.clone(),
             ..SpecializeConfig::default()
         },

@@ -62,7 +62,7 @@ use jitise_pivpav::{
 };
 use jitise_store::{FaultTotals, Record, Store};
 use jitise_telemetry::{names, Span, Telemetry, Value as TelValue};
-use jitise_vm::{BlockKey, Profile, VmTier};
+use jitise_vm::{BlockKey, Profile};
 use jitise_woolcano::{patch_candidate, ReconfigController, Woolcano};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -106,12 +106,6 @@ pub struct SpecializeConfig {
     /// failures are counted by the store's own telemetry), and `None`
     /// (the default) is byte-identical to a storeless run.
     pub store: Option<Arc<Store>>,
-    /// VM execution tier for workload runs driven alongside this
-    /// specialization session (the pipeline itself never executes the
-    /// workload — `run_adaptive`/`run_storm` and the evaluation harness
-    /// read this knob from their own options and keep it in sync here so
-    /// one config carries the full runtime surface, like `cad_workers`).
-    pub vm_tier: VmTier,
     /// Overlay cell library for the two-tier install fast path (DESIGN.md
     /// §17). `Some` makes every cache-missing candidate assemble a
     /// millisecond-scale overlay implementation at dispatch and install it
@@ -134,7 +128,6 @@ impl Default for SpecializeConfig {
             quarantine: Arc::new(Quarantine::new()),
             cad_workers: 1,
             store: None,
-            vm_tier: VmTier::Interp,
             overlay: None,
         }
     }

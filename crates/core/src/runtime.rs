@@ -28,8 +28,10 @@ use jitise_ir::Module;
 use jitise_ise::{SearchConfig, SearchMemo};
 use jitise_store::{Record, Store};
 use jitise_telemetry::{names, Telemetry, Value as TelValue};
+use jitise_vm::decode::decode;
 use jitise_vm::{
-    BlockKey, CostModel, HotnessWindow, Interpreter, PredecodedModule, Profile, Value, VmTier,
+    BlockKey, CostModel, DecodeCache, HotnessWindow, Interpreter, PredecodedModule, Profile, Value,
+    VmTier,
 };
 use jitise_woolcano::Woolcano;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,10 +91,11 @@ pub struct AdaptiveOptions {
     /// (the default) leaves the session byte-identical to today.
     pub store: Option<Arc<Store>>,
     /// Execution tier for every workload run in the session (default
-    /// [`VmTier::Interp`]). The fast tier pre-decodes each binary once —
-    /// base module at session start, specialized module at swap — and is
-    /// bit-identical in results, cycles, and profiles, so fingerprints
-    /// are unchanged; only host wall-clock improves.
+    /// [`VmTier::default`], the fast tier). The fast tier pre-decodes each
+    /// binary once — base module at session start, specialized module at
+    /// swap — and is bit-identical in results, cycles, and profiles, so
+    /// the reference [`VmTier::Interp`] gives the same fingerprints; only
+    /// host wall-clock differs.
     pub vm_tier: VmTier,
     /// Optional overlay cell library enabling two-tier installation in
     /// every specialization this session runs (initial install and storm
@@ -114,7 +117,7 @@ impl Default for AdaptiveOptions {
             search_workers: 1,
             search_memo: None,
             store: None,
-            vm_tier: VmTier::Interp,
+            vm_tier: VmTier::default(),
             overlay: None,
         }
     }
@@ -257,27 +260,32 @@ pub fn run_adaptive(
     )
 }
 
-/// [`run_adaptive`] with explicit robustness options.
-///
-/// The session *always* terminates with correct workload results: a
-/// worker that dies, panics, stalls past the watchdog, or fails
-/// specialization degrades the session to software-only execution and
-/// records the [`DegradedReason`] instead of propagating the failure.
-/// Builds a workload VM on the session's execution tier. On the fast tier
-/// the module is pre-decoded once (memoized in `pd`) and the decoded form
-/// is shared by every subsequent run of the same binary — the whole point
-/// of paying the decode: the adaptive loop executes each module many times.
+/// Builds a workload VM on the session's execution tier, recording to
+/// `tel`. On the fast tier the module is pre-decoded once (memoized in
+/// `pd`) and the decoded form is shared by every subsequent run of the
+/// same binary — the whole point of paying the decode: the adaptive loop
+/// executes each module many times. With a shared `cache`, that one
+/// decode is itself shared with every other session that runs an equal
+/// module.
 fn tiered_vm<'m>(
     module: &'m Module,
     tier: VmTier,
     pd: &mut Option<Arc<PredecodedModule>>,
+    cache: Option<&DecodeCache>,
+    tel: &Telemetry,
 ) -> Interpreter<'m> {
     let mut vm = Interpreter::new(module);
     if tier == VmTier::Fast {
-        let pd = pd
-            .get_or_insert_with(|| Arc::new(PredecodedModule::build(module, &CostModel::ppc405())));
+        let pd = pd.get_or_insert_with(|| {
+            let cost = CostModel::ppc405();
+            match cache {
+                Some(cache) => cache.get_or_decode(module, &cost, tel),
+                None => decode(module, &cost, tel),
+            }
+        });
         vm.set_predecoded(Arc::clone(pd));
     }
+    vm.set_telemetry(tel.clone());
     vm
 }
 
@@ -291,9 +299,13 @@ fn tiered_vm<'m>(
 /// field is zero when profiling) and every later run charges the run's
 /// own cycle count, matching the single-session runtime bit for bit.
 /// On the fast tier the base and specialized modules are each
-/// pre-decoded once and memoized for the life of the session.
+/// pre-decoded once, the base decode living until the first post-swap
+/// run and the specialized one until the session ends; a session
+/// built with [`WorkloadSession::with_decode_cache`] takes those decodes from
+/// a cache shared with other sessions.
 pub struct WorkloadSession {
     tier: VmTier,
+    decode_cache: Option<Arc<DecodeCache>>,
     base_pd: Option<Arc<PredecodedModule>>,
     spec_pd: Option<Arc<PredecodedModule>>,
     runs_before: u32,
@@ -308,6 +320,7 @@ impl WorkloadSession {
     pub fn new(tier: VmTier) -> WorkloadSession {
         WorkloadSession {
             tier,
+            decode_cache: None,
             base_pd: None,
             spec_pd: None,
             runs_before: 0,
@@ -315,6 +328,16 @@ impl WorkloadSession {
             cycles_before: 0,
             cycles_after: 0,
             results: Vec::new(),
+        }
+    }
+
+    /// A fresh session whose fast-tier decodes come from `cache`, so the
+    /// sessions sharing it decode each distinct module once between them.
+    /// Identical to [`WorkloadSession::new`] on [`VmTier::Interp`].
+    pub fn with_decode_cache(tier: VmTier, cache: Arc<DecodeCache>) -> WorkloadSession {
+        WorkloadSession {
+            decode_cache: Some(cache),
+            ..WorkloadSession::new(tier)
         }
     }
 
@@ -328,8 +351,13 @@ impl WorkloadSession {
         args: &[Value],
         tel: &Telemetry,
     ) -> Result<Profile> {
-        let mut vm = tiered_vm(module, self.tier, &mut self.base_pd);
-        vm.set_telemetry(tel.clone());
+        let mut vm = tiered_vm(
+            module,
+            self.tier,
+            &mut self.base_pd,
+            self.decode_cache.as_deref(),
+            tel,
+        );
         let out = vm.run(entry, args)?;
         let profile: Profile = vm.take_profile();
         self.cycles_before += profile.total_cycles();
@@ -346,8 +374,13 @@ impl WorkloadSession {
         args: &[Value],
         tel: &Telemetry,
     ) -> Result<()> {
-        let mut vm = tiered_vm(module, self.tier, &mut self.base_pd);
-        vm.set_telemetry(tel.clone());
+        let mut vm = tiered_vm(
+            module,
+            self.tier,
+            &mut self.base_pd,
+            self.decode_cache.as_deref(),
+            tel,
+        );
         let out = vm.run(entry, args)?;
         self.cycles_before += out.cycles;
         self.runs_before += 1;
@@ -364,9 +397,18 @@ impl WorkloadSession {
         args: &[Value],
         tel: &Telemetry,
     ) -> Result<()> {
-        let mut vm = tiered_vm(module, self.tier, &mut self.spec_pd);
+        // Sessions do not return to the base module after the swap, so
+        // its decode is released first and one decode stays resident
+        // instead of two (a later software run would simply decode again).
+        self.base_pd = None;
+        let mut vm = tiered_vm(
+            module,
+            self.tier,
+            &mut self.spec_pd,
+            self.decode_cache.as_deref(),
+            tel,
+        );
         vm.set_custom_handler(machine);
-        vm.set_telemetry(tel.clone());
         let out = vm.run(entry, args)?;
         self.cycles_after += out.cycles;
         self.runs_after += 1;
@@ -416,6 +458,12 @@ impl WorkloadSession {
     }
 }
 
+/// [`run_adaptive`] with explicit robustness options.
+///
+/// The session *always* terminates with correct workload results: a
+/// worker that dies, panics, stalls past the watchdog, or fails
+/// specialization degrades the session to software-only execution and
+/// records the [`DegradedReason`] instead of propagating the failure.
 #[allow(clippy::too_many_arguments)]
 pub fn run_adaptive_with(
     ctx: &EvalContext,
@@ -497,7 +545,6 @@ pub fn run_adaptive_with(
         let worker_search_memo = options.search_memo.clone();
         let worker_quarantine = Arc::clone(&options.quarantine);
         let worker_store = options.store.clone();
-        let worker_tier = tier;
         let worker_overlay = options.overlay.clone();
         let watchdog = options.watchdog;
         scope.spawn(move || {
@@ -544,7 +591,6 @@ pub fn run_adaptive_with(
                         quarantine: worker_quarantine,
                         cad_workers: worker_lanes,
                         store: worker_store,
-                        vm_tier: worker_tier,
                         overlay: worker_overlay,
                         ..SpecializeConfig::default()
                     },
@@ -837,8 +883,7 @@ pub fn run_storm(
     let mut spec_pd: Option<Arc<PredecodedModule>> = None;
 
     // Profiling run (first segment's arguments).
-    let mut vm = tiered_vm(module, tier, &mut base_pd);
-    vm.set_telemetry(tel.clone());
+    let mut vm = tiered_vm(module, tier, &mut base_pd, None, &tel);
     let first = vm.run(entry, &schedule[seg_of[0]].args)?;
     let profile: Profile = vm.take_profile();
     let first_cycles = profile.total_cycles();
@@ -870,7 +915,6 @@ pub fn run_storm(
         let worker_search_memo = options.base.search_memo.clone();
         let worker_quarantine = Arc::clone(&options.base.quarantine);
         let worker_store = options.base.store.clone();
-        let worker_tier = tier;
         let worker_overlay = options.base.overlay.clone();
         let worker_slots = options.slots;
         let watchdog = options.base.watchdog;
@@ -911,7 +955,6 @@ pub fn run_storm(
                         quarantine: worker_quarantine,
                         cad_workers: worker_lanes,
                         store: worker_store,
-                        vm_tier: worker_tier,
                         overlay: worker_overlay,
                         ..SpecializeConfig::default()
                     },
@@ -988,16 +1031,14 @@ pub fn run_storm(
             // Execute the run on whatever binary is current.
             let (ret, cycles, run_profile) = match &specialized {
                 Some((m, machine)) => {
-                    let mut vm = tiered_vm(m, tier, &mut spec_pd);
+                    let mut vm = tiered_vm(m, tier, &mut spec_pd, None, &tel);
                     vm.set_custom_handler(machine);
-                    vm.set_telemetry(tel.clone());
                     let out = vm.run(entry, args)?;
                     let p = vm.take_profile();
                     (out.ret, out.cycles, p)
                 }
                 None => {
-                    let mut vm = tiered_vm(module, tier, &mut base_pd);
-                    vm.set_telemetry(tel.clone());
+                    let mut vm = tiered_vm(module, tier, &mut base_pd, None, &tel);
                     let out = vm.run(entry, args)?;
                     let p = vm.take_profile();
                     (out.ret, out.cycles, p)
@@ -1115,7 +1156,6 @@ pub fn run_storm(
                         quarantine: Arc::clone(&options.base.quarantine),
                         cad_workers: options.base.cad_workers,
                         store: options.base.store.clone(),
-                        vm_tier: tier,
                         overlay: options.base.overlay.clone(),
                         ..SpecializeConfig::default()
                     },

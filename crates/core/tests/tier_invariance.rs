@@ -9,11 +9,13 @@
 //! degradation state).
 
 use jitise_apps::{build_phased, App, PhasedSpec};
+use jitise_cad::OverlayLibrary;
 use jitise_core::{
     run_adaptive_with, run_storm, AdaptiveOptions, BitstreamCache, EvalContext, PhasePolicy,
-    PhaseSegment, StormOptions,
+    PhaseSegment, StormOptions, StormOutcome,
 };
 use jitise_vm::{Value, VmTier};
+use std::sync::Arc;
 
 fn adaptive_fingerprint(tier: VmTier) -> String {
     let app = App::build("adpcm").expect("paper app");
@@ -43,7 +45,10 @@ fn adaptive_session_is_tier_invariant() {
     );
 }
 
-fn storm_fingerprint(tier: VmTier) -> String {
+/// A two-phase storm session; `overlay` enables two-tier installation
+/// for the initial specialization and every re-specialization.
+fn storm(tier: VmTier, overlay: bool) -> StormOutcome {
+    let ctx = EvalContext::new();
     let m = build_phased(&PhasedSpec {
         seed: 7,
         kernels: 2,
@@ -57,6 +62,7 @@ fn storm_fingerprint(tier: VmTier) -> String {
     let options = StormOptions {
         base: AdaptiveOptions {
             vm_tier: tier,
+            overlay: overlay.then(|| Arc::new(OverlayLibrary::from_db(&ctx.db))),
             ..AdaptiveOptions::default()
         },
         policy: PhasePolicy {
@@ -69,23 +75,40 @@ fn storm_fingerprint(tier: VmTier) -> String {
         ready_after_runs: 2,
         ..StormOptions::default()
     };
-    let outcome = run_storm(
-        &EvalContext::new(),
+    run_storm(
+        &ctx,
         &BitstreamCache::new(),
         &m,
         "main",
         &schedule,
         &options,
     )
-    .expect("storm terminates");
-    outcome.fingerprint()
+    .expect("storm terminates")
 }
 
 #[test]
 fn storm_session_is_tier_invariant() {
     assert_eq!(
-        storm_fingerprint(VmTier::Interp),
-        storm_fingerprint(VmTier::Fast),
+        storm(VmTier::Interp, false).fingerprint(),
+        storm(VmTier::Fast, false).fingerprint(),
         "fast tier changed a storm-session observable"
+    );
+}
+
+/// With two-tier installation the fast tier runs overlay-installed
+/// specialized binaries too (and re-decodes each re-specialization);
+/// every observable must still match the interpreter.
+#[test]
+fn storm_session_with_overlay_is_tier_invariant() {
+    let fast = storm(VmTier::Fast, true);
+    assert!(
+        fast.reports.iter().any(|r| r.overlay_installs >= 1),
+        "the two-tier path must engage"
+    );
+    assert!(fast.swaps >= 2, "a re-specialization must swap binaries");
+    assert_eq!(
+        storm(VmTier::Interp, true).fingerprint(),
+        fast.fingerprint(),
+        "fast tier changed a two-tier storm-session observable"
     );
 }

@@ -41,7 +41,7 @@ use jitise_ir::Module;
 use jitise_ise::{SearchConfig, SearchMemo};
 use jitise_store::{Record, Store};
 use jitise_telemetry::{names, HistogramSnapshot, Telemetry, Value as TelValue};
-use jitise_vm::{Value, VmTier};
+use jitise_vm::{DecodeCache, Value, VmTier};
 use jitise_woolcano::Woolcano;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -99,7 +99,11 @@ pub struct ServeConfig {
     /// quarantine at start (warm restart) and journals every commit and
     /// eviction during the run.
     pub store: Option<Arc<Store>>,
-    /// Workload execution tier.
+    /// Workload execution tier (default [`VmTier::default`], the fast
+    /// tier; the reference [`VmTier::Interp`] yields the same
+    /// fingerprint). On the fast tier every tenant takes its decodes from
+    /// one fleet-scoped [`DecodeCache`], so each distinct base or
+    /// specialized module is decoded once per fleet.
     pub vm_tier: VmTier,
     /// Optional overlay cell library: every tenant's specialization uses
     /// two-tier installation (millisecond overlay install + full-CAD
@@ -131,7 +135,7 @@ impl Default for ServeConfig {
             faults: FaultInjector::disabled(),
             retry: RetryPolicy::default(),
             store: None,
-            vm_tier: VmTier::Interp,
+            vm_tier: VmTier::default(),
             overlay: None,
             telemetry: Telemetry::disabled(),
         }
@@ -378,7 +382,9 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
         Admission::Shed => (1u8, specs[i].arrival_us, specs[i].id),
     });
 
-    let mut modules: HashMap<u64, Module> = HashMap::new();
+    // Base modules by workload, shared with the fleet's decode cache.
+    let mut modules: HashMap<u64, Arc<Module>> = HashMap::new();
+    let decode = Arc::new(DecodeCache::new());
     let mut outcomes: Vec<Option<TenantOutcome>> = vec![None; specs.len()];
     let mut pool_jobs: Vec<PoolJob> = Vec::new();
     // Per-tenant index into `pool_jobs` for the timing post-pass.
@@ -388,21 +394,20 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
     for &i in &exec_order {
         let spec = &specs[i];
         let admission = admissions[i];
-        let module = modules
-            .entry(spec.workload_seed)
-            .or_insert_with(|| {
-                workload_module(
-                    spec,
-                    config.kernels,
-                    config.hot_iters,
-                    config.near_duplicate,
-                )
-            })
-            .clone();
+        let module: &Module = modules.entry(spec.workload_seed).or_insert_with(|| {
+            let m = Arc::new(workload_module(
+                spec,
+                config.kernels,
+                config.hot_iters,
+                config.near_duplicate,
+            ));
+            decode.add_base(Arc::clone(&m));
+            m
+        });
         let args = [Value::I(spec.sel), Value::I(2)];
 
-        let mut ws = WorkloadSession::new(config.vm_tier);
-        let profile = ws.profile_run(&module, "main", &args, &tel)?;
+        let mut ws = WorkloadSession::with_decode_cache(config.vm_tier, Arc::clone(&decode));
+        let profile = ws.profile_run(module, "main", &args, &tel)?;
 
         let mut degraded: Option<DegradedReason> = None;
         let mut report: Option<SpecializeReport> = None;
@@ -438,7 +443,6 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                     quarantine: Arc::clone(&quarantine),
                     cad_workers: config.cad_workers,
                     store: config.store.clone(),
-                    vm_tier: config.vm_tier,
                     overlay: config.overlay.clone(),
                     ..SpecializeConfig::default()
                 };
@@ -542,7 +546,7 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
         for _ in 1..config.runs_per_tenant {
             match &specialized {
                 Some((m, machine)) => ws.adapted_run(m, machine, "main", &args, &tel)?,
-                None => ws.software_run(&module, "main", &args, &tel)?,
+                None => ws.software_run(module, "main", &args, &tel)?,
             }
         }
 

@@ -22,6 +22,10 @@
 //!   faults recovers to exactly the committed prefix on warm restart,
 //!   and the service keeps serving.
 //!
+//! Tenants run their workloads on the fast VM tier by default, with one
+//! fleet-scoped decode cache: each distinct base or specialized module
+//! is pre-decoded once per fleet, however many tenants run it.
+//!
 //! Determinism is the through-line: a fixed-seed, fixed-fleet run
 //! produces a bit-identical [`ServeOutcome::fingerprint`] at any
 //! `cad_workers`. See DESIGN.md §16.

@@ -7,7 +7,10 @@
 //! 3. per-tenant deadline budgets degrade only the exhausted tenant;
 //! 4. a **crash storm** — store death mid-serve plus burst CAD faults —
 //!    recovers to exactly the committed prefix on warm restart, with no
-//!    cross-tenant corruption, and the service keeps serving.
+//!    cross-tenant corruption, and the service keeps serving;
+//! 5. the production fast VM tier is bit-identical to the reference
+//!    interpreter at fleet scale, and its fleet-scoped decode cache
+//!    decodes each distinct module once.
 
 use jitise_base::SimTime;
 use jitise_core::DegradedReason;
@@ -15,7 +18,8 @@ use jitise_core::EvalContext;
 use jitise_faults::{Bursts, CrashSwitch, FaultInjector, FaultPlan, StoreCrash};
 use jitise_serve::{fleet, run_serve, workload_module, Admission, ServeConfig, ServeOutcome};
 use jitise_store::{Store, StoreOptions, TempDir};
-use jitise_vm::{Interpreter, Value};
+use jitise_telemetry::{names, Telemetry};
+use jitise_vm::{Interpreter, Value, VmTier};
 use std::sync::Arc;
 
 /// A small overloaded fleet: four slots and a two-deep defer queue under
@@ -357,4 +361,71 @@ fn crash_storm_mid_serve_recovers_committed_prefix() {
         calm.fresh,
         again.cache_hits
     );
+}
+
+/// The fleet of the tier tests: the small overloaded fleet with the
+/// overlay on and uniform CAD faults, on a fresh context.
+fn faulted_overlay_fleet(tier: VmTier, telemetry: Telemetry) -> (EvalContext, ServeConfig) {
+    let ctx = EvalContext::new();
+    let overlay = Some(Arc::new(jitise_cad::OverlayLibrary::from_db(&ctx.db)));
+    let config = ServeConfig {
+        overlay,
+        faults: FaultInjector::from_plan(FaultPlan::uniform(0.1, 77)),
+        vm_tier: tier,
+        telemetry,
+        ..small_config(2011, 2, None)
+    };
+    (ctx, config)
+}
+
+/// The fast tier is the production default and the interpreter its
+/// oracle: with the overlay on and CAD faults firing, a fleet computes
+/// the same outcome — fingerprint and DRR timing — on either tier.
+#[test]
+fn fleet_outcome_is_identical_on_interp_and_fast_tiers() {
+    assert_eq!(ServeConfig::default().vm_tier, VmTier::Fast);
+    let run = |tier: VmTier| {
+        let (ctx, config) = faulted_overlay_fleet(tier, Telemetry::disabled());
+        run_serve(&ctx, &config).unwrap()
+    };
+    let interp = run(VmTier::Interp);
+    let fast = run(VmTier::Fast);
+    assert!(fast.overlay_installs >= 1, "the two-tier path must engage");
+    assert!(
+        fast.tenants.iter().any(|t| t.failed + t.retries as u32 > 0),
+        "the fault plan must fire"
+    );
+    assert_eq!(interp.fingerprint(), fast.fingerprint());
+    assert_eq!(interp.timing, fast.timing);
+    let (_, config) = faulted_overlay_fleet(VmTier::Fast, Telemetry::disabled());
+    assert_all_results_correct(&fast, &config);
+}
+
+/// Every tenant takes its fast-tier decodes from one fleet-scoped cache,
+/// so the fleet decodes each distinct module once: every decode is its
+/// own `vm.decode` span, every other lookup is a hit, and tenants share
+/// decodes.
+#[test]
+fn fleet_decodes_each_distinct_module_once() {
+    let tel = Telemetry::enabled();
+    let (ctx, config) = faulted_overlay_fleet(VmTier::Fast, tel.clone());
+    let out = run_serve(&ctx, &config).unwrap();
+
+    // One lookup per module a tenant runs: its base module (profiling
+    // run), plus its specialized module when it specialized.
+    let specialized = out
+        .tenants
+        .iter()
+        .filter(|t| t.admission.admitted_at_us().is_some() && t.degraded.is_none())
+        .count();
+    assert!(specialized >= 1);
+    let lookups = (out.tenants.len() + specialized) as u64;
+
+    let snap = tel.snapshot();
+    let builds = snap.counter(names::VM_DECODE_BUILDS);
+    let hits = snap.counter(names::VM_DECODE_HITS);
+    let spans = snap.spans.iter().filter(|s| s.name == "vm.decode").count();
+    assert_eq!(builds + hits, lookups);
+    assert!(builds < lookups, "tenants must share decodes");
+    assert_eq!(spans as u64, builds);
 }

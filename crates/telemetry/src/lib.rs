@@ -95,6 +95,12 @@ pub mod names {
     pub const VM_INSTRUCTIONS: &str = "vm.instructions_retired";
     /// Basic-block executions observed by the profiler.
     pub const VM_BLOCKS: &str = "vm.blocks_executed";
+    /// Modules pre-decoded for the fast VM tier (each one a `vm.decode`
+    /// span).
+    pub const VM_DECODE_BUILDS: &str = "vm.decode.builds";
+    /// Fast-tier decodes skipped because a shared decode cache already
+    /// held an equal module.
+    pub const VM_DECODE_HITS: &str = "vm.decode.hits";
     /// Nets ripped up and re-routed by the PathFinder router.
     pub const ROUTER_RIPUPS: &str = "router.ripups";
     /// Negotiated-congestion router iterations.

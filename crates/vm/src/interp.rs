@@ -93,6 +93,11 @@ pub struct Interpreter<'m> {
 
 impl<'m> Interpreter<'m> {
     /// Creates a VM for `module` with the default PPC405 cost model.
+    ///
+    /// A new VM always starts on [`VmTier::Interp`], the reference
+    /// semantics the fast tier is tested against — not on
+    /// [`VmTier::default`]. Runtimes pick their tier with
+    /// [`Interpreter::set_tier`] or [`Interpreter::set_predecoded`].
     pub fn new(module: &'m Module) -> Self {
         Self::with_config(module, CostModel::ppc405(), RunConfig::default())
     }
@@ -181,20 +186,21 @@ impl<'m> Interpreter<'m> {
         let start_steps = self.steps;
         let start_cycles = self.cycles;
         let start_blocks = self.blocks;
-        let mut span = self.telemetry.span("vm.run");
-        let ret = match self.tier {
-            VmTier::Interp => self.exec_func(fid, args, 0)?,
-            VmTier::Fast => {
-                let pd = match &self.predecoded {
-                    Some(pd) => Arc::clone(pd),
-                    None => {
-                        let pd = Arc::new(PredecodedModule::build(self.module, &self.cost));
-                        self.predecoded = Some(Arc::clone(&pd));
-                        pd
-                    }
-                };
-                crate::predecode::exec_fast(self, &pd, fid, args, 0)?
+        // A first fast-tier run decodes here, in its own `vm.decode` span
+        // rather than inside `vm.run`.
+        let pd = match (self.tier, &self.predecoded) {
+            (VmTier::Interp, _) => None,
+            (VmTier::Fast, Some(pd)) => Some(Arc::clone(pd)),
+            (VmTier::Fast, None) => {
+                let pd = crate::decode::decode(self.module, &self.cost, &self.telemetry);
+                self.predecoded = Some(Arc::clone(&pd));
+                Some(pd)
             }
+        };
+        let mut span = self.telemetry.span("vm.run");
+        let ret = match pd {
+            None => self.exec_func(fid, args, 0)?,
+            Some(pd) => crate::predecode::exec_fast(self, &pd, fid, args, 0)?,
         };
         let out = ExecOutcome {
             ret,

@@ -6,7 +6,11 @@
 //! (Fig. 1). This crate provides:
 //!
 //! * [`interp::Interpreter`] — a direct interpreter for `jitise-ir` modules
-//!   with a linear memory, call stack, and external math functions;
+//!   with a linear memory, call stack, and external math functions; it is
+//!   the reference semantics (the differential-test oracle);
+//! * [`predecode`] — the pre-decoded fast tier, bit-identical to the
+//!   interpreter and the production default ([`VmTier::Fast`]), with
+//!   [`decode::DecodeCache`] sharing decodes across sessions;
 //! * [`cost::CostModel`] — a PowerPC-405 cycle-cost model (the Woolcano
 //!   base CPU); every executed instruction is charged cycles, and reported
 //!   runtimes are *simulated seconds* at the core clock;
@@ -26,6 +30,7 @@
 
 pub mod cost;
 pub mod coverage;
+pub mod decode;
 pub mod exec_model;
 pub mod interp;
 pub mod kernel;
@@ -35,6 +40,7 @@ pub mod profile;
 pub mod value;
 
 pub use cost::CostModel;
+pub use decode::DecodeCache;
 pub use interp::{CustomHandler, ExecOutcome, Interpreter, RunConfig};
 pub use predecode::{PredecodedModule, VmTier};
 pub use profile::{BlockKey, HotnessWindow, Profile};

@@ -32,15 +32,22 @@ use jitise_ir::{
     BinOp, BlockId, CmpOp, ExtFunc, FuncId, Function, InstId, InstKind, Module, Operand,
     Terminator, Type, UnOp,
 };
+use std::sync::Arc;
 
 /// Execution tier of the [`Interpreter`].
+///
+/// [`VmTier::default`] is the production tier, [`VmTier::Fast`]: every
+/// runtime config (`EvalContext`, `AdaptiveOptions`, `ServeConfig`) takes
+/// its tier from here. [`VmTier::Interp`] is the reference semantics and
+/// the differential-test oracle; [`Interpreter::new`] starts on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VmTier {
-    /// The reference `InstKind`-walking interpreter (default).
-    #[default]
+    /// The reference `InstKind`-walking interpreter.
     Interp,
-    /// Pre-decoded threaded dispatch over flat arrays. Bit-identical to
-    /// [`VmTier::Interp`] in every observable; several times faster.
+    /// Pre-decoded threaded dispatch over flat arrays (default).
+    /// Bit-identical to [`VmTier::Interp`] in every observable; several
+    /// times faster.
+    #[default]
     Fast,
 }
 
@@ -1112,7 +1119,7 @@ struct FastBlock {
 
 /// One decoded function.
 #[derive(Debug, Clone)]
-struct FastFunc {
+pub(crate) struct FastFunc {
     fid: FuncId,
     name: String,
     params_len: usize,
@@ -1142,7 +1149,10 @@ struct FastFunc {
 /// [`Interpreter::set_predecoded`].
 #[derive(Debug, Clone)]
 pub struct PredecodedModule {
-    funcs: Vec<FastFunc>,
+    /// Decoded functions by `FuncId`. A function's decode depends only on
+    /// the function, its id and the cost model, so modules that agree on
+    /// a function can share its decode.
+    pub(crate) funcs: Vec<Arc<FastFunc>>,
     clock_hz: u64,
     dispatch_overhead: u64,
 }
@@ -1150,10 +1160,31 @@ pub struct PredecodedModule {
 impl PredecodedModule {
     /// Decodes every function of `m` under `cost`.
     pub fn build(m: &Module, cost: &CostModel) -> PredecodedModule {
+        PredecodedModule::build_reusing(m, cost, None)
+    }
+
+    /// Decodes `m` under `cost`; with `reuse = Some((pd, changed))` only
+    /// the functions listed in `changed` are decoded and every other one
+    /// is taken from `pd`. The caller guarantees that `pd` was built under
+    /// `cost` and that every function of `m` outside `changed` equals the
+    /// function `pd` decoded at the same index; the result is then exactly
+    /// [`PredecodedModule::build`]'s.
+    pub(crate) fn build_reusing(
+        m: &Module,
+        cost: &CostModel,
+        reuse: Option<(&PredecodedModule, &[usize])>,
+    ) -> PredecodedModule {
         PredecodedModule {
             funcs: m
                 .func_ids()
-                .map(|fid| decode_func(m.func(fid), fid, cost))
+                .map(|fid| match reuse {
+                    Some((pd, changed)) if !changed.contains(&fid.idx()) => {
+                        debug_assert!(pd.clock_hz == cost.clock_hz);
+                        debug_assert!(pd.dispatch_overhead == cost.dispatch_overhead);
+                        Arc::clone(&pd.funcs[fid.idx()])
+                    }
+                    _ => Arc::new(decode_func(m.func(fid), fid, cost)),
+                })
                 .collect(),
             clock_hz: cost.clock_hz,
             dispatch_overhead: cost.dispatch_overhead,
@@ -4701,6 +4732,8 @@ mod tests {
             assert_eq!(VmTier::parse(t.name()), Some(t));
         }
         assert_eq!(VmTier::parse("jit"), None);
-        assert_eq!(VmTier::default(), VmTier::Interp);
+        assert_eq!(VmTier::default(), VmTier::Fast);
+        // The production default moved; the oracle did not.
+        assert_eq!(Interpreter::new(&swap_loop()).tier(), VmTier::Interp);
     }
 }
