@@ -7,7 +7,8 @@
 //! * `search`   — candidate-search wall-clock: cold/warm [`SearchMemo`],
 //!   1/2/8 worker lanes, plus the modeled identification makespans;
 //! * `cad`      — CAD schedule makespan vs `cad_workers`, charged tool
-//!   time invariant across lanes;
+//!   time invariant across lanes, and an exact digest of what place and
+//!   route decide;
 //! * `vm`       — interpreter instructions/cycles per paper app and the
 //!   sweep's host MIPS;
 //! * `store`    — recovery time and committed-prefix accounting under a
@@ -50,7 +51,7 @@
 
 use jitise_apps::App;
 use jitise_apps::{build_phased, PhasedSpec};
-use jitise_base::hash::hash_bytes;
+use jitise_base::hash::{hash_bytes, SigHasher};
 use jitise_bench::runner::{measure_host, measure_host_cold};
 use jitise_bench::schema::{check, BenchArtifact, CheckPolicy, CheckReport};
 use jitise_bench::workload::{search_module, search_profile};
@@ -66,7 +67,7 @@ use jitise_ise::{
 use jitise_serve::{run_serve, ServeConfig};
 use jitise_store::testfix::sample_entry;
 use jitise_store::{Record, Store, StoreOptions, TempDir};
-use jitise_telemetry::{Profiler, Telemetry};
+use jitise_telemetry::{Profiler, Snapshot, Telemetry, Value as TelValue};
 use jitise_vm::{CostModel, Interpreter, PredecodedModule, Value};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -424,8 +425,57 @@ fn bench_cad(seed: u64, smoke: bool) -> BenchArtifact {
     ctx.cad_workers = 2;
     let app = App::build(app_name).expect("paper app");
     let _ = evaluate_app(&ctx, &app);
-    art.set_profile(&Profiler::from_snapshot(&tel.snapshot()));
+    let snapshot = tel.snapshot();
+    art.exact("cad.par.digest", "hash", par_digest(&ctx, &snapshot, seed));
+    art.set_profile(&Profiler::from_snapshot(&snapshot));
     art
+}
+
+/// Digest of everything place-and-route decides in the topic's flows: the
+/// routed wirelength of every flow (from its `cad.par` span, sorted, since
+/// lanes finish in any order) and the bitstream cache image, which holds
+/// every flow's bitstream bytes and timing keyed by signature. A
+/// narrow-channel fixture adds the negotiation path, which no paper-app
+/// flow reaches.
+fn par_digest(ctx: &EvalContext, snapshot: &Snapshot, seed: u64) -> u64 {
+    use jitise_cad::{analyze, bitgen, place, route, Fabric, FlowOptions};
+    let mut h = SigHasher::new();
+    let mut wirelengths: Vec<u64> = snapshot
+        .spans
+        .iter()
+        .filter(|s| s.name == "cad.par")
+        .flat_map(|s| &s.fields)
+        .filter_map(|(key, value)| match (*key, value) {
+            ("wirelength", TelValue::U64(w)) => Some(*w),
+            _ => None,
+        })
+        .collect();
+    assert!(!wirelengths.is_empty(), "the topic must run CAD flows");
+    wirelengths.sort_unstable();
+    for w in wirelengths {
+        h.write_u64(w);
+    }
+    h.write_bytes(&ctx.bitstreams.to_bytes());
+
+    let fabric = Fabric {
+        channel_width: 2,
+        ..Fabric::pr_region()
+    };
+    let nl = jitise_pivpav::netlist::synthesize_core("par", 16, 200, 16, 4, seed);
+    let opts = FlowOptions::default();
+    let placement = place(&fabric, &nl, opts.place_effort, opts.seed).expect("fixture fits");
+    let routed = route(&fabric, &nl, &placement, opts.route_effort).expect("fixture routes");
+    assert!(routed.overflow > 0, "the fixture must exercise negotiation");
+    let timing = analyze(&fabric, &nl, &placement, &routed);
+    h.write_u64(routed.wirelength)
+        .write_u32(routed.overflow)
+        .write_u32(routed.iterations)
+        .write_bytes(&bitgen(&fabric, &nl, &placement, &routed, true).bytes)
+        .write_u64(timing.critical_path_ns.to_bits())
+        .write_u64(timing.fmax_mhz.to_bits())
+        .write_u32(timing.critical_cells)
+        .write_u32(timing.meets_300mhz as u32);
+    h.finish()
 }
 
 // -------------------------------------------------------------------- vm
