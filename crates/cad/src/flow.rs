@@ -357,12 +357,16 @@ pub fn run_flow_accounted(
     par_span.set_sim_time(par_t);
     spent.par += par_t;
     let par_stage = || -> Result<(Placement, RoutedDesign)> {
+        let place_span = par_span.child("cad.place");
         let placement: Placement = place(fabric, &flat, opts.place_effort, opts.seed)?;
         check_legal(fabric, &flat, &placement)?;
+        drop(place_span);
         if let Some(e) = injected_failure(tel, &opts.faults, FaultSite::CadPlace, &project.name) {
             return Err(e);
         }
+        let route_span = par_span.child("cad.route");
         let routed: RoutedDesign = route(fabric, &flat, &placement, opts.route_effort)?;
+        drop(route_span);
         tel.add(names::PLACER_MOVES, placement.moves);
         tel.add(names::PLACER_ACCEPTS, placement.accepted);
         tel.add(names::ROUTER_ITERATIONS, routed.iterations as u64);
