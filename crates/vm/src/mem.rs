@@ -10,6 +10,12 @@
 //! ```
 //!
 //! Loads and stores are bounds-checked; address 0 faults (null deref).
+//!
+//! Only a prefix of memory is backed by host memory: the globals and the
+//! stack up to the highest address any alloca or store has reached. Bytes
+//! past it read as zero, which is what they would hold in a fully
+//! zero-filled memory. A run that uses a few KB of its 1 MB stack
+//! therefore allocates and clears a few KB, not 1 MB.
 
 use crate::value::Value;
 use jitise_base::{Error, Result};
@@ -21,7 +27,11 @@ const NULL_GUARD: u32 = 0x1000;
 /// Flat memory with global segment and an upward-growing alloca stack.
 #[derive(Debug, Clone)]
 pub struct Memory {
+    /// Backed prefix of memory; everything from `bytes.len()` to `size`
+    /// is zero.
     bytes: Vec<u8>,
+    /// Memory size in bytes (the bounds every access is checked against).
+    size: u32,
     global_base: Vec<u32>,
     stack_base: u32,
     stack_ptr: u32,
@@ -41,13 +51,13 @@ impl Memory {
         }
         cursor = (cursor + 15) & !15;
         let stack_base = cursor;
-        let total = cursor + stack_bytes;
-        let mut bytes = vec![0u8; total as usize];
+        let mut bytes = vec![0u8; stack_base as usize];
         for (g, &base) in m.globals.iter().zip(&global_base) {
             bytes[base as usize..base as usize + g.init.len()].copy_from_slice(&g.init);
         }
         Memory {
             bytes,
+            size: stack_base + stack_bytes,
             global_base,
             stack_base,
             stack_ptr: stack_base,
@@ -74,13 +84,25 @@ impl Memory {
     pub fn alloca(&mut self, bytes: u32) -> Result<u32> {
         let addr = (self.stack_ptr + 7) & !7;
         let end = addr as u64 + bytes as u64;
-        if end > self.bytes.len() as u64 {
+        if end > self.size as u64 {
             return Err(Error::Vm(format!(
                 "stack overflow: alloca of {bytes} bytes at {addr:#x}"
             )));
         }
         self.stack_ptr = end as u32;
+        if end as usize > self.bytes.len() {
+            self.back(end as usize);
+        }
         Ok(addr)
+    }
+
+    /// Extends the backed prefix to at least `end` bytes, at least
+    /// doubling it (capped at the memory size) so a growing stack is
+    /// backed in amortized constant time.
+    #[cold]
+    fn back(&mut self, end: usize) {
+        let len = end.max(2 * self.bytes.len()).min(self.size as usize);
+        self.bytes.resize(len, 0);
     }
 
     fn check(&self, addr: u32, len: u32) -> Result<usize> {
@@ -88,13 +110,67 @@ impl Memory {
             return Err(Error::Vm(format!("null-page access at {addr:#x}")));
         }
         let end = addr as u64 + len as u64;
-        if end > self.bytes.len() as u64 {
+        if end > self.size as u64 {
             return Err(Error::Vm(format!(
                 "out-of-bounds access at {addr:#x}+{len} (mem size {:#x})",
-                self.bytes.len()
+                self.size
             )));
         }
         Ok(addr as usize)
+    }
+
+    /// Loads the `len <= 8` bytes at `addr`, little-endian. The fast path
+    /// is one null-guard and one bounds test against the backed prefix,
+    /// which lies inside the memory, so passing it implies passing
+    /// [`Memory::check`]. The slow path takes only scalars, so the fast
+    /// path's buffer stays in registers.
+    #[inline(always)]
+    fn load_raw(&self, addr: u32, len: usize) -> Result<u64> {
+        if addr >= NULL_GUARD {
+            let at = addr as usize;
+            if let Some(src) = self.bytes.get(at..at + len) {
+                let mut buf = [0u8; 8];
+                buf[..len].copy_from_slice(src);
+                return Ok(u64::from_le_bytes(buf));
+            }
+        }
+        self.load_slow(addr, len)
+    }
+
+    /// A load that faults or reaches past the backed prefix, where every
+    /// byte is zero.
+    #[cold]
+    fn load_slow(&self, addr: u32, len: usize) -> Result<u64> {
+        let at = self.check(addr, len as u32)?;
+        let backed = self.bytes.get(at..).unwrap_or_default();
+        let n = backed.len().min(len);
+        let mut buf = [0u8; 8];
+        buf[..n].copy_from_slice(&backed[..n]);
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    /// Stores the low `len <= 8` bytes of `raw` at `addr`, with the same
+    /// fast path as [`Memory::load_raw`].
+    #[inline(always)]
+    fn store_raw(&mut self, addr: u32, raw: u64, len: usize) -> Result<()> {
+        if addr >= NULL_GUARD {
+            let at = addr as usize;
+            if let Some(dst) = self.bytes.get_mut(at..at + len) {
+                dst.copy_from_slice(&raw.to_le_bytes()[..len]);
+                return Ok(());
+            }
+        }
+        self.store_slow(addr, raw, len)
+    }
+
+    /// A store that faults or reaches past the backed prefix, which then
+    /// grows to cover it.
+    #[cold]
+    fn store_slow(&mut self, addr: u32, raw: u64, len: usize) -> Result<()> {
+        let at = self.check(addr, len as u32)?;
+        self.back(at + len);
+        self.bytes[at..at + len].copy_from_slice(&raw.to_le_bytes()[..len]);
+        Ok(())
     }
 
     /// Fixed-width raw load for the fast tier: a compile-time `N` lets the
@@ -103,29 +179,18 @@ impl Memory {
     /// [`Memory::load`].
     #[inline(always)]
     pub(crate) fn load_bytes<const N: usize>(&self, addr: u32) -> Result<u64> {
-        let at = self.check(addr, N as u32)?;
-        let mut buf = [0u8; 8];
-        buf[..N].copy_from_slice(&self.bytes[at..at + N]);
-        Ok(u64::from_le_bytes(buf))
+        self.load_raw(addr, N)
     }
 
     /// Fixed-width raw store, the counterpart of [`Memory::load_bytes`].
     #[inline(always)]
     pub(crate) fn store_bytes<const N: usize>(&mut self, addr: u32, raw: u64) -> Result<()> {
-        let at = self.check(addr, N as u32)?;
-        self.bytes[at..at + N].copy_from_slice(&raw.to_le_bytes()[..N]);
-        Ok(())
+        self.store_raw(addr, raw, N)
     }
 
     /// Typed load.
     pub fn load(&self, ty: Type, addr: u32) -> Result<Value> {
-        let size = ty.byte_size().max(1);
-        let at = self.check(addr, size)?;
-        let raw = {
-            let mut buf = [0u8; 8];
-            buf[..size as usize].copy_from_slice(&self.bytes[at..at + size as usize]);
-            u64::from_le_bytes(buf)
-        };
+        let raw = self.load_raw(addr, ty.byte_size().max(1) as usize)?;
         Ok(match ty {
             Type::F32 => Value::F(f32::from_bits(raw as u32) as f64),
             Type::F64 => Value::F(f64::from_bits(raw)),
@@ -136,22 +201,22 @@ impl Memory {
     /// Typed store.
     pub fn store(&mut self, ty: Type, addr: u32, v: Value) -> Result<()> {
         let size = ty.byte_size().max(1);
-        let at = self.check(addr, size)?;
         let raw: u64 = match (ty, v) {
             (Type::F32, Value::F(x)) => (x as f32).to_bits() as u64,
             (Type::F64, Value::F(x)) => x.to_bits(),
             (t, Value::I(x)) => t.trunc(x),
             (t, v) => {
+                // A faulting address is reported before the mismatch.
+                self.check(addr, size)?;
                 return Err(Error::Vm(format!("store type mismatch: {t} <- {v:?}")));
             }
         };
-        self.bytes[at..at + size as usize].copy_from_slice(&raw.to_le_bytes()[..size as usize]);
-        Ok(())
+        self.store_raw(addr, raw, size as usize)
     }
 
     /// Total memory size in bytes.
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.size as usize
     }
 }
 
@@ -229,6 +294,47 @@ mod tests {
         mem.stack_release(mark);
         let p3 = mem.alloca(100).unwrap();
         assert_eq!(p1, p3, "stack space must be reused after release");
+    }
+
+    #[test]
+    fn unbacked_memory_reads_as_zero() {
+        let (_, m) = mem_with_globals();
+        let mut mem = Memory::for_module(&m, 1 << 20);
+        let p = mem.alloca(1 << 16).unwrap();
+        // The alloca backed the stack through its end, not the whole 1 MB.
+        let backed = mem.bytes.len() as u32;
+        assert!(backed >= p + (1 << 16) && backed < 1 << 20);
+        mem.store(Type::I8, p + 100, Value::I(-1)).unwrap();
+        // Loads inside, across and past the end of the backed prefix see
+        // the store and zeros around it.
+        for addr in [
+            p + 96,
+            p + 3000,
+            backed - 4,
+            backed - 1,
+            backed,
+            backed + 4096,
+        ] {
+            let want = if addr <= p + 100 && p + 100 < addr + 8 {
+                0xff << (8 * (p + 100 - addr))
+            } else {
+                0
+            };
+            assert_eq!(
+                mem.load(Type::I64, addr).unwrap(),
+                Value::I(want),
+                "at {addr:#x}"
+            );
+        }
+        // A store straddling the end grows the backed prefix.
+        mem.store(Type::I32, backed - 2, Value::I(0x0403_0201))
+            .unwrap();
+        assert!(mem.bytes.len() as u32 > backed);
+        assert_eq!(
+            mem.load(Type::I32, backed - 2).unwrap(),
+            Value::I(0x0403_0201)
+        );
+        assert_eq!(mem.load(Type::I8, p + 100).unwrap(), Value::I(-1));
     }
 
     #[test]
