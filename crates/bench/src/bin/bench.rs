@@ -14,7 +14,7 @@
 //! * `store`    — recovery time and committed-prefix accounting under a
 //!   mid-write crash budget;
 //! * `pipeline` — end-to-end `specialize()` + `run_adaptive()` session
-//!   latency and modeled overhead;
+//!   latency, modeled overhead and the adapted runs' CI executions;
 //! * `storm`    — phase-storm resilience: `run_storm()` over a rotating
 //!   hot set (detection, eviction, re-specialization counters, recovery
 //!   quality), invariant across CAD lanes, plus a crash-storm run (burst
@@ -67,7 +67,7 @@ use jitise_ise::{
 use jitise_serve::{run_serve, ServeConfig};
 use jitise_store::testfix::sample_entry;
 use jitise_store::{Record, Store, StoreOptions, TempDir};
-use jitise_telemetry::{Profiler, Snapshot, Telemetry, Value as TelValue};
+use jitise_telemetry::{names, Profiler, Snapshot, Telemetry, Value as TelValue};
 use jitise_vm::{CostModel, Interpreter, PredecodedModule, Value};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -796,10 +796,18 @@ fn bench_pipeline(seed: u64, smoke: bool) -> BenchArtifact {
     });
     art.push("pipeline.warm.wall", "ns", sample.metric());
 
+    // Instrumented pass; its CI count (the adapted runs' custom
+    // instructions) is as fixed as the workload.
     let tel = Telemetry::enabled();
     let ctx = EvalContext::with_telemetry(tel.clone());
     let _ = session(&ctx, &BitstreamCache::new());
-    art.set_profile(&Profiler::from_snapshot(&tel.snapshot()));
+    let snapshot = tel.snapshot();
+    art.exact(
+        "pipeline.ci_execs",
+        "count",
+        snapshot.counter(names::CI_EXECS),
+    );
+    art.set_profile(&Profiler::from_snapshot(&snapshot));
     art
 }
 

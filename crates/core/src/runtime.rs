@@ -401,6 +401,7 @@ impl WorkloadSession {
         // its decode is released first and one decode stays resident
         // instead of two (a later software run would simply decode again).
         self.base_pd = None;
+        let binding = machine.bind();
         let mut vm = tiered_vm(
             module,
             self.tier,
@@ -408,7 +409,7 @@ impl WorkloadSession {
             self.decode_cache.as_deref(),
             tel,
         );
-        vm.set_custom_handler(machine);
+        vm.set_custom_handler(&binding);
         let out = vm.run(entry, args)?;
         self.cycles_after += out.cycles;
         self.runs_after += 1;
@@ -1031,8 +1032,9 @@ pub fn run_storm(
             // Execute the run on whatever binary is current.
             let (ret, cycles, run_profile) = match &specialized {
                 Some((m, machine)) => {
+                    let binding = machine.bind();
                     let mut vm = tiered_vm(m, tier, &mut spec_pd, None, &tel);
-                    vm.set_custom_handler(machine);
+                    vm.set_custom_handler(&binding);
                     let out = vm.run(entry, args)?;
                     let p = vm.take_profile();
                     (out.ret, out.cycles, p)

@@ -113,6 +113,9 @@ pub mod names {
     pub const ICAP_BYTES: &str = "icap.bytes";
     /// Partial bitstreams loaded into Woolcano slots.
     pub const ICAP_LOADS: &str = "icap.loads";
+    /// Custom instructions executed by bound Woolcano machines (added once
+    /// per VM run).
+    pub const CI_EXECS: &str = "woolcano.ci.execs";
     /// CIs evicted from Woolcano slots to make room.
     pub const ICAP_EVICTIONS: &str = "icap.evictions";
     /// Overlay slots atomically swapped to their fully routed upgrade.

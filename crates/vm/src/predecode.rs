@@ -27,6 +27,7 @@ use crate::interp::{eval_ext, value_to_imm, Interpreter};
 use crate::profile::BlockKey;
 use crate::value::Value;
 use jitise_base::{Error, Result};
+use jitise_ir::dom::DomTree;
 use jitise_ir::passes::constfold::{fold_cmp, fold_float_bin, fold_int_bin, fold_un};
 use jitise_ir::{
     BinOp, BlockId, CmpOp, ExtFunc, FuncId, Function, InstId, InstKind, Module, Operand,
@@ -1207,88 +1208,11 @@ impl PredecodedModule {
     }
 }
 
-/// Immediate dominators of the reachable CFG (Cooper–Harvey–Kennedy),
-/// indexed by block; `u32::MAX` marks unreachable blocks, the entry is its
-/// own idom. Used only at decode time to discharge definedness checks.
-fn compute_idom(f: &Function) -> Vec<u32> {
-    const UNDEF: u32 = u32::MAX;
-    let n = f.blocks.len();
-    let mut idom = vec![UNDEF; n];
-    if n == 0 {
-        return idom;
-    }
-    let succs: Vec<Vec<u32>> = f
-        .blocks
-        .iter()
-        .map(|b| match &b.term {
-            Some(Terminator::Br(t)) => vec![t.0],
-            Some(Terminator::CondBr(_, t, e)) => vec![t.0, e.0],
-            Some(Terminator::Switch(_, cases, d)) => {
-                cases.iter().map(|(_, t)| t.0).chain([d.0]).collect()
-            }
-            Some(Terminator::Ret(_)) | None => vec![],
-        })
-        .collect();
-    // Reverse postorder over blocks reachable from the entry.
-    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-    let mut post: Vec<u32> = Vec::with_capacity(n);
-    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    state[0] = 1;
-    while let Some(top) = stack.last_mut() {
-        let b = top.0 as usize;
-        if top.1 < succs[b].len() {
-            let s = succs[b][top.1];
-            top.1 += 1;
-            if state[s as usize] == 0 {
-                state[s as usize] = 1;
-                stack.push((s, 0));
-            }
-        } else {
-            post.push(top.0);
-            state[b] = 2;
-            stack.pop();
-        }
-    }
-    let rpo: Vec<u32> = post.iter().rev().copied().collect();
-    let mut rpo_idx = vec![UNDEF; n];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_idx[b as usize] = i as u32;
-    }
-    fn intersect(idom: &[u32], rpo_idx: &[u32], mut a: u32, mut b: u32) -> u32 {
-        while a != b {
-            while rpo_idx[a as usize] > rpo_idx[b as usize] {
-                a = idom[a as usize];
-            }
-            while rpo_idx[b as usize] > rpo_idx[a as usize] {
-                b = idom[b as usize];
-            }
-        }
-        a
-    }
-    let preds = f.predecessors();
-    idom[0] = 0;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new_idom = UNDEF;
-            for &p in &preds[b as usize] {
-                if idom[p.idx()] == UNDEF {
-                    continue;
-                }
-                new_idom = if new_idom == UNDEF {
-                    p.0
-                } else {
-                    intersect(&idom, &rpo_idx, new_idom, p.0)
-                };
-            }
-            if new_idom != UNDEF && idom[b as usize] != new_idom {
-                idom[b as usize] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    idom
+/// Non-strict dominance for the resolver: every block dominates itself,
+/// even an unreachable one, and an unreachable block dominates nothing
+/// else.
+fn dominates(dom: &DomTree, a: u32, b: u32) -> bool {
+    a == b || dom.dominates(BlockId(a), BlockId(b))
 }
 
 /// Decode-time operand resolver. Maps every operand to a flat slot index:
@@ -1313,7 +1237,8 @@ fn compute_idom(f: &Function) -> Vec<u32> {
 /// function would otherwise drag a >150 KiB register file through the
 /// cache on every call.
 struct Resolver {
-    idom: Vec<u32>,
+    /// Dominators of the reachable CFG, to discharge definedness checks.
+    dom: DomTree,
     /// Block index holding each instruction (`u32::MAX` for dead arena
     /// slots never attached to a block).
     def_block: Vec<u32>,
@@ -1363,17 +1288,8 @@ impl Resolver {
                 };
             }
         }
-        let idom = compute_idom(f);
-        let dominates = |a: u32, mut b: u32| loop {
-            if a == b {
-                return true;
-            }
-            let up = idom[b as usize];
-            if up == b || up == u32::MAX {
-                return false;
-            }
-            b = up;
-        };
+        let dom = DomTree::compute(f);
+        let dominates = |a: u32, b: u32| dominates(&dom, a, b);
 
         // ---- use analysis (mirrors the decode walk exactly) ----
         // A value is block-local when every read is in its def block at a
@@ -1533,7 +1449,7 @@ impl Resolver {
         let num_slots = (d + max_local) as usize;
 
         Resolver {
-            idom,
+            dom,
             def_block,
             surely,
             slot_of,
@@ -1550,17 +1466,8 @@ impl Resolver {
     }
 
     /// Non-strict dominance over reachable blocks.
-    fn dominates(&self, a: u32, mut b: u32) -> bool {
-        loop {
-            if a == b {
-                return true;
-            }
-            let up = self.idom[b as usize];
-            if up == b || up == u32::MAX {
-                return false;
-            }
-            b = up;
-        }
+    fn dominates(&self, a: u32, b: u32) -> bool {
+        dominates(&self.dom, a, b)
     }
 
     /// Interns a constant and returns its slot.

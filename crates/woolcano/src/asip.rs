@@ -2,10 +2,11 @@
 //!
 //! The architecture model: a PowerPC-405 base core (the VM's cost model)
 //! augmented with runtime-reconfigurable custom instructions loaded through
-//! the ICAP controller. It implements [`jitise_vm::CustomHandler`], so a
-//! patched binary executes on the ordinary interpreter with CI opcodes
-//! dispatched to loaded slots — functionally the hardware datapath,
-//! cost-wise the implemented design's timing.
+//! the ICAP controller. [`Woolcano::bind`] hands one VM run a
+//! [`CiBinding`], the machine's [`jitise_vm::CustomHandler`], so a patched
+//! binary executes on the ordinary interpreter with CI opcodes dispatched
+//! to loaded slots — functionally the hardware datapath, cost-wise the
+//! implemented design's timing.
 
 use crate::reconfig::ReconfigController;
 use crate::semantics::CiSemantics;
@@ -15,13 +16,14 @@ use jitise_ir::{Dfg, Function};
 use jitise_ise::Candidate;
 use jitise_telemetry::{names, Telemetry, Value as TelValue};
 use jitise_vm::{CostModel, CustomHandler, Value};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 
 /// The Woolcano machine.
 #[derive(Debug)]
 pub struct Woolcano {
-    /// Reconfiguration controller (interior mutability: the interpreter
-    /// holds a shared handler reference).
+    /// Reconfiguration controller (interior mutability: installs and runs
+    /// share the machine by reference).
     controller: Mutex<ReconfigController>,
     /// Base CPU model.
     pub cost: CostModel,
@@ -159,16 +161,50 @@ impl Woolcano {
     }
 }
 
-impl CustomHandler for Woolcano {
+/// A [`Woolcano`] bound to one VM run: the machine's [`CustomHandler`].
+///
+/// It holds the slot file for the run, so executing a CI takes no lock:
+/// it looks the slot up, evaluates the frozen datapath and touches the
+/// slot, exactly the LRU bookkeeping of one locked execution. Dropping
+/// the binding releases the slot file and adds the run's executions to
+/// the `woolcano.ci.execs` counter. Drop it before using the machine
+/// again on the same thread.
+pub struct CiBinding<'a> {
+    controller: MutexGuard<'a, ReconfigController>,
+    telemetry: &'a Telemetry,
+    execs: Cell<u64>,
+}
+
+impl Woolcano {
+    /// Binds the machine to one VM run (see [`CiBinding`]).
+    pub fn bind(&self) -> CiBinding<'_> {
+        CiBinding {
+            controller: self.controller.lock().expect("controller lock"),
+            telemetry: &self.telemetry,
+            execs: Cell::new(0),
+        }
+    }
+}
+
+impl CustomHandler for CiBinding<'_> {
     fn exec_custom(&self, slot: u32, args: &[Value]) -> Result<(Value, u64)> {
-        let mut ctl = self.controller.lock().expect("lock");
-        let ci = ctl
+        let ci = self
+            .controller
             .get(slot)
             .ok_or_else(|| Error::Arch(format!("no CI loaded in slot {slot}")))?;
         let value = ci.semantics.eval(args)?;
-        let cycles = ci.hw_cycles;
-        ctl.touch(slot);
-        Ok((value, cycles))
+        self.controller.touch(slot);
+        self.execs.set(self.execs.get() + 1);
+        Ok((value, ci.hw_cycles))
+    }
+}
+
+impl Drop for CiBinding<'_> {
+    fn drop(&mut self) {
+        let execs = self.execs.get();
+        if execs > 0 {
+            self.telemetry.add(names::CI_EXECS, execs);
+        }
     }
 }
 
@@ -196,8 +232,9 @@ pub fn measure_speedup(
 ) -> Result<SpeedupMeasurement> {
     let mut vm = jitise_vm::Interpreter::new(base);
     let base_out = vm.run(entry, args)?;
+    let binding = machine.bind();
     let mut vm2 = jitise_vm::Interpreter::new(patched);
-    vm2.set_custom_handler(machine);
+    vm2.set_custom_handler(&binding);
     let asip_out = vm2.run(entry, args)?;
     if base_out.ret != asip_out.ret {
         return Err(Error::Arch(format!(
@@ -318,8 +355,97 @@ mod tests {
     #[test]
     fn missing_slot_errors() {
         let machine = Woolcano::new(2);
-        let err = machine.exec_custom(1, &[]).unwrap_err();
+        let err = machine.bind().exec_custom(1, &[]).unwrap_err();
         assert!(err.to_string().contains("no CI loaded"));
+    }
+
+    /// A tiny implemented CI, `x * tag + 1`, with a real bitstream from
+    /// the tiny fabric.
+    fn tiny_ci(tag: i32) -> (Function, Dfg, Candidate, Bitstream) {
+        let mut b = FunctionBuilder::new("f", vec![Type::I32], Type::I32);
+        let x = b.mul(Op::Arg(0), Op::ci32(tag));
+        let y = b.add(x, Op::ci32(1));
+        b.ret(y);
+        let f = b.finish();
+        let dfg = Dfg::build(&f, BlockId(0));
+        let cand = jitise_ise::maxmiso(
+            &f,
+            &dfg,
+            BlockKey::new(FuncId(0), BlockId(0)),
+            &ForbiddenPolicy::default(),
+            2,
+        )
+        .candidates
+        .remove(0);
+        let fabric = jitise_cad::Fabric::tiny();
+        let nl = jitise_pivpav::netlist::synthesize_core("c", 4, 8, 0, 0, tag as u64);
+        let p = jitise_cad::place(&fabric, &nl, jitise_cad::PlaceEffort::fast(), 1).unwrap();
+        let r = jitise_cad::route(&fabric, &nl, &p, jitise_cad::RouteEffort::fast()).unwrap();
+        let bs = jitise_cad::bitgen(&fabric, &nl, &p, &r, true);
+        (f, dfg, cand, bs)
+    }
+
+    /// A bound run leaves the LRU clock and every slot's last use exactly
+    /// where one locked `touch` per execution would: a following load into
+    /// the full slot file evicts the same victim as a controller touched
+    /// call by call.
+    #[test]
+    fn bound_run_keeps_per_call_lru_state() {
+        let cis: Vec<_> = [3, 5, 7].into_iter().map(tiny_ci).collect();
+        let sig = |i: usize| cis[i].2.signature(&cis[i].0, &cis[i].1);
+        for (order, victim) in [
+            (vec![0u32, 1, 0], 1usize),
+            (vec![1, 0, 1], 0),
+            (vec![0, 1, 1, 1, 0, 0, 1], 0),
+            (vec![1, 1, 0], 1),
+        ] {
+            let machine = Woolcano::new(2);
+            let mut reference = ReconfigController::new(2);
+            for (f, dfg, cand, bs) in &cis[..2] {
+                machine.install(f, dfg, cand, 4, bs.clone()).unwrap();
+                let sem = CiSemantics::freeze(f, dfg, cand).unwrap();
+                reference
+                    .load(cand.signature(f, dfg), sem, 4, bs.clone())
+                    .unwrap();
+            }
+            {
+                let binding = machine.bind();
+                for &slot in &order {
+                    binding.exec_custom(slot, &[Value::I(6)]).unwrap();
+                }
+            }
+            for &slot in &order {
+                reference.touch(slot);
+            }
+            let (f, dfg, cand, bs) = &cis[2];
+            let slot = machine.install(f, dfg, cand, 4, bs.clone()).unwrap();
+            let sem = CiSemantics::freeze(f, dfg, cand).unwrap();
+            let ref_slot = reference.load(sig(2), sem, 4, bs.clone()).unwrap();
+            assert_eq!(slot, ref_slot, "order {order:?}");
+            for i in 0..2 {
+                assert_eq!(machine.slot_of(sig(i)), reference.slot_of(sig(i)));
+            }
+            assert_eq!(machine.slot_of(sig(victim)), None, "order {order:?}");
+        }
+    }
+
+    #[test]
+    fn binding_counts_executions_once_per_run() {
+        let tel = Telemetry::enabled();
+        let machine = Woolcano::with_telemetry(2, tel.clone());
+        let (f, dfg, cand, bs) = tiny_ci(3);
+        let slot = machine.install(&f, &dfg, &cand, 4, bs).unwrap();
+        for run in 1..=2u64 {
+            let binding = machine.bind();
+            for x in 0..5 {
+                let (v, cycles) = binding.exec_custom(slot, &[Value::I(x)]).unwrap();
+                assert_eq!((v, cycles), (Value::I(x * 3 + 1), 4));
+            }
+            assert!(binding.exec_custom(slot + 1, &[]).is_err());
+            assert_eq!(tel.snapshot().counter(names::CI_EXECS), 5 * (run - 1));
+            drop(binding);
+            assert_eq!(tel.snapshot().counter(names::CI_EXECS), 5 * run);
+        }
     }
 
     #[test]

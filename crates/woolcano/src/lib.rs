@@ -13,8 +13,8 @@
 //!   eviction).
 //! * [`patch`] — the adaptation phase's binary patcher: replaces candidate
 //!   subgraphs with `Custom` opcodes.
-//! * [`asip`] — [`asip::Woolcano`] itself: base CPU + loaded CIs,
-//!   implementing the VM's [`jitise_vm::CustomHandler`], plus measured
+//! * [`asip`] — [`asip::Woolcano`] itself: base CPU + loaded CIs, bound
+//!   to a VM run as the VM's [`jitise_vm::CustomHandler`], plus measured
 //!   base-vs-ASIP speedup comparisons.
 
 pub mod asip;
@@ -22,7 +22,7 @@ pub mod patch;
 pub mod reconfig;
 pub mod semantics;
 
-pub use asip::{measure_speedup, SpeedupMeasurement, Woolcano};
+pub use asip::{measure_speedup, CiBinding, SpeedupMeasurement, Woolcano};
 pub use patch::{freeze_and_patch, patch_candidate, PatchReport};
 pub use reconfig::{LoadedCi, ReconfigController, ICAP_BYTES_PER_SEC};
 pub use semantics::{CiArg, CiOp, CiSemantics};

@@ -9,6 +9,7 @@
 use crate::semantics::CiSemantics;
 use jitise_base::{Error, Result, SimTime};
 use jitise_cad::{Bitstream, InstallTier};
+use std::cell::Cell;
 
 /// ICAP throughput: 32-bit word per cycle at 100 MHz = 400 MB/s
 /// theoretical; sustained practice is lower.
@@ -32,15 +33,17 @@ pub struct LoadedCi {
     /// the fully routed design (see [`Self::hw_cycles`] — the two tiers
     /// differ only in timing, never in semantics).
     pub tier: InstallTier,
-    /// Load counter for LRU eviction.
-    last_use: u64,
+    /// Controller clock at the last load or execution, for LRU eviction.
+    /// A `Cell`, like the clock, so executions can [`ReconfigController::touch`]
+    /// through the shared slot file a run binding holds.
+    last_use: Cell<u64>,
 }
 
 /// The reconfiguration controller: slot management + ICAP timing.
 #[derive(Debug)]
 pub struct ReconfigController {
     slots: Vec<Option<LoadedCi>>,
-    clock: u64,
+    clock: Cell<u64>,
     /// Accumulated reconfiguration time.
     pub total_reconfig_time: SimTime,
     /// Number of loads performed.
@@ -57,7 +60,7 @@ impl ReconfigController {
     pub fn new(num_slots: usize) -> Self {
         ReconfigController {
             slots: (0..num_slots).map(|_| None).collect(),
-            clock: 0,
+            clock: Cell::new(0),
             total_reconfig_time: SimTime::ZERO,
             loads: 0,
             evictions: 0,
@@ -106,13 +109,14 @@ impl ReconfigController {
                 "bitstream CRC failure for CI {signature:#018x}"
             )));
         }
-        self.clock += 1;
+        let now = self.tick();
         // Already loaded? Refresh and return.
         if let Some(slot) = self.slot_of(signature) {
             self.slots[slot as usize]
-                .as_mut()
+                .as_ref()
                 .expect("occupied")
-                .last_use = self.clock;
+                .last_use
+                .set(now);
             return Ok(slot);
         }
         // Free slot or LRU victim.
@@ -123,7 +127,7 @@ impl ReconfigController {
                     .slots
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, s)| s.as_ref().map(|c| c.last_use).unwrap_or(0))
+                    .min_by_key(|(_, s)| s.as_ref().map(|c| c.last_use.get()).unwrap_or(0))
                     .map(|(i, _)| i)
                     .ok_or_else(|| Error::Arch("controller has zero slots".into()))?;
                 self.evictions += 1;
@@ -139,7 +143,7 @@ impl ReconfigController {
             hw_cycles,
             bitstream,
             tier,
-            last_use: self.clock,
+            last_use: Cell::new(now),
         });
         Ok(slot as u32)
     }
@@ -165,11 +169,11 @@ impl ReconfigController {
             return Ok(slot);
         }
         self.total_reconfig_time += Self::reconfig_time(&bitstream);
-        self.clock += 1;
+        self.clock.set(self.clock.get() + 1);
         ci.bitstream = bitstream;
         ci.hw_cycles = hw_cycles;
         ci.tier = InstallTier::Full;
-        ci.last_use = self.clock;
+        ci.last_use.set(self.clock.get());
         self.upgrades += 1;
         Ok(slot)
     }
@@ -187,12 +191,20 @@ impl ReconfigController {
         self.slots.get(slot as usize).and_then(|s| s.as_ref())
     }
 
-    /// Marks a slot as used (LRU bookkeeping on execution).
-    pub fn touch(&mut self, slot: u32) {
-        self.clock += 1;
-        if let Some(Some(ci)) = self.slots.get_mut(slot as usize) {
-            ci.last_use = self.clock;
+    /// Marks a slot as used (LRU bookkeeping on execution). Takes `&self`
+    /// so a run binding can touch the slot file it holds shared.
+    pub fn touch(&self, slot: u32) {
+        let now = self.tick();
+        if let Some(Some(ci)) = self.slots.get(slot as usize) {
+            ci.last_use.set(now);
         }
+    }
+
+    /// Advances the LRU clock; returns the new time.
+    fn tick(&self) -> u64 {
+        let now = self.clock.get() + 1;
+        self.clock.set(now);
+        now
     }
 
     /// Number of occupied slots.
