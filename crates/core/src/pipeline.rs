@@ -20,8 +20,8 @@
 //! Phase 3 dominates the specialization overhead by minutes per candidate,
 //! and candidates with distinct signatures are independent — so the
 //! pipeline can farm their tool flows out to
-//! [`SpecializeConfig::cad_workers`] OS threads. The run is split into
-//! three stages (see `DESIGN.md` §10):
+//! [`SpecializeConfig::cad_workers`] lanes, the calling thread running one
+//! of them. The run is split into three stages (see `DESIGN.md` §10):
 //!
 //! * **dispatch** (serial, selection order) — quarantine checks, duplicate
 //!   signature dedup, the attempt-1 cache probe, and phase 2 (netlist
@@ -92,11 +92,13 @@ pub struct SpecializeConfig {
     /// skipped without burning tool time. Share one `Arc` across sessions
     /// to persist the blacklist.
     pub quarantine: Arc<Quarantine>,
-    /// CAD worker lanes for phases 2–3. `1` (the default) reproduces the
-    /// fully sequential pipeline. Higher counts implement independent
-    /// candidates concurrently — ICAP installs and IR patching stay
-    /// serialized in selection order — and shrink the report's `makespan`
-    /// while leaving every other observable bit-identical.
+    /// Modeled CAD worker lanes for phases 2–3: the report's `makespan`
+    /// schedules candidates over this many lanes. The thread that drives
+    /// the jobs runs one lane itself and `cad_workers − 1` threads run the
+    /// others, so `1` (the default) spawns none. Higher counts implement
+    /// independent candidates concurrently — ICAP installs and IR patching
+    /// stay serialized in selection order — and shrink `makespan` while
+    /// leaving every other observable bit-identical.
     pub cad_workers: usize,
     /// Optional crash-consistent store. When set, every *freshly*
     /// generated candidate, every newly quarantined signature, and the

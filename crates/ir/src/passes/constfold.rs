@@ -10,6 +10,7 @@ use super::Pass;
 use crate::function::Function;
 use crate::inst::{BinOp, CmpOp, Imm, InstKind, Operand, UnOp};
 use crate::types::Type;
+use crate::verify::operand_ty;
 use std::collections::HashMap;
 
 /// The constant-folding pass.
@@ -136,6 +137,19 @@ pub fn fold_un(op: UnOp, ty: Type, a: &Imm) -> Option<Imm> {
     })
 }
 
+/// `imm` as a value of type `ty`, normalized as the VM normalizes a
+/// select's result: integers wrap to the width, floats round through the
+/// type's precision. `None` when one is an integer and the other a float.
+fn conform(imm: Imm, ty: Type) -> Option<Imm> {
+    match ty {
+        _ if imm.ty == ty => Some(imm),
+        Type::F32 if imm.ty.is_float() => Some(Imm::f32(imm.as_f64() as f32)),
+        Type::F64 if imm.ty.is_float() => Some(Imm::f64(imm.as_f64())),
+        _ if ty.is_int() && imm.ty.is_int() => Some(Imm::int(ty, imm.as_i64())),
+        _ => None,
+    }
+}
+
 impl Pass for ConstFold {
     fn name(&self) -> &'static str {
         "constfold"
@@ -165,12 +179,17 @@ impl Pass for ConstFold {
                     InstKind::Cmp(op, Operand::Const(a), Operand::Const(b)) => {
                         Some(Imm::bool(fold_cmp(*op, a.ty, a, b)))
                     }
+                    // The VM normalizes the chosen arm to the select's
+                    // type, so the fold does too; an arm of another type
+                    // is forwarded only if the select cannot change it.
                     InstKind::Select(Operand::Const(c), a, b) => {
                         let chosen = if c.as_i64() != 0 { *a } else { *b };
                         match chosen {
-                            Operand::Const(imm) => Some(imm),
+                            Operand::Const(imm) => conform(imm, inst.ty),
                             other => {
-                                replace.insert(iid, other);
+                                if operand_ty(f, other) == inst.ty {
+                                    replace.insert(iid, other);
+                                }
                                 None
                             }
                         }
