@@ -39,7 +39,7 @@ enum ExprKey {
     Bin(crate::inst::BinOp, OpKey, OpKey),
     Un(crate::inst::UnOp, u8, OpKey),
     Cmp(crate::inst::CmpOp, OpKey, OpKey),
-    Select(OpKey, OpKey, OpKey),
+    Select(crate::types::Type, OpKey, OpKey, OpKey),
     Gep(OpKey, OpKey, u32),
     GlobalAddr(u32),
 }
@@ -55,7 +55,7 @@ fn expr_key(inst: &crate::inst::Inst) -> Option<ExprKey> {
         }
         InstKind::Un(op, a) => ExprKey::Un(*op, inst.ty.bits() as u8, op_key(*a)),
         InstKind::Cmp(op, a, b) => ExprKey::Cmp(*op, op_key(*a), op_key(*b)),
-        InstKind::Select(c, a, b) => ExprKey::Select(op_key(*c), op_key(*a), op_key(*b)),
+        InstKind::Select(c, a, b) => ExprKey::Select(inst.ty, op_key(*c), op_key(*a), op_key(*b)),
         InstKind::Gep {
             base,
             index,

@@ -19,6 +19,7 @@
 use super::Pass;
 use crate::function::{Function, InstId};
 use crate::inst::{BinOp, Imm, Inst, InstKind, Operand};
+use crate::verify::operand_ty;
 use std::collections::HashMap;
 
 /// The instcombine pass.
@@ -48,7 +49,7 @@ enum Rewrite {
     None,
 }
 
-fn simplify(inst: &Inst) -> Rewrite {
+fn simplify(f: &Function, inst: &Inst) -> Rewrite {
     let ty = inst.ty;
     if let InstKind::Bin(op, a, b) = &inst.kind {
         let (a, b) = (*a, *b);
@@ -151,8 +152,10 @@ fn simplify(inst: &Inst) -> Rewrite {
         }
         return Rewrite::None;
     }
+    // The VM normalizes a select's arm to the select's type, so an arm of
+    // another type is not the select's value.
     if let InstKind::Select(_, a, b) = &inst.kind {
-        if same_value(*a, *b) {
+        if same_value(*a, *b) && operand_ty(f, *a) == ty {
             return Rewrite::Value(*a);
         }
     }
@@ -172,7 +175,7 @@ impl Pass for InstCombine {
                 if replace.contains_key(&iid) {
                     continue;
                 }
-                match simplify(f.inst(iid)) {
+                match simplify(f, f.inst(iid)) {
                     Rewrite::Value(op) => {
                         replace.insert(iid, op);
                     }
